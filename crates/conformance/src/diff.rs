@@ -547,7 +547,7 @@ impl Driver {
         let program = gen::gen_program(seed);
         let c_src = gen::render_c(&program);
         self.registry.inc("conformance.programs_generated");
-        let (div, tags) = self.control_points(PAIR, seed, &|| {
+        let (div, tags) = self.control_points(PAIR, seed, SHARED_AST_POINTS, &|| {
             MiTracker::load_c("gen.c", &c_src).map(|t| Box::new(t) as Box<dyn Tracker>)
         });
         self.count_divergences(&div);
@@ -561,8 +561,22 @@ impl Driver {
         let program = gen::gen_program(seed);
         let py_src = gen::render_py(&program);
         self.registry.inc("conformance.programs_generated");
-        let (div, tags) = self.control_points(PAIR, seed, &|| {
+        let (div, tags) = self.control_points(PAIR, seed, SHARED_AST_POINTS, &|| {
             PyTracker::load("gen.py", &py_src).map(|t| Box::new(t) as Box<dyn Tracker>)
+        });
+        self.count_divergences(&div);
+        (div, tags)
+    }
+
+    /// Like [`Driver::check_control_points_c`] for the RISC-V tracker:
+    /// watches the saved register `s0` and tracks `fn0`.
+    pub fn check_control_points_asm(&self, seed: u64) -> (Vec<Divergence>, Vec<String>) {
+        const PAIR: &str = "asm_control_points_vs_replay";
+        self.pair(PAIR);
+        let asm_src = gen::render_asm(&gen::gen_asm(seed));
+        self.registry.inc("conformance.programs_generated");
+        let (div, tags) = self.control_points(PAIR, seed, ("s0", "fn0"), &|| {
+            MiTracker::load_asm("gen.s", &asm_src).map(|t| Box::new(t) as Box<dyn Tracker>)
         });
         self.count_divergences(&div);
         (div, tags)
@@ -572,6 +586,7 @@ impl Driver {
         &self,
         pair: &str,
         seed: u64,
+        (watched, tracked): (&str, &str),
         make: &dyn Fn() -> Result<Box<dyn Tracker>, TrackerError>,
     ) -> (Vec<Divergence>, Vec<String>) {
         // Capture first: the recording tells us which lines actually
@@ -602,13 +617,13 @@ impl Driver {
             Ok(t) => t,
             Err(e) => return (self.error(pair, seed, "live load failed", &e), Vec::new()),
         };
-        let live_tags = match drive_with_control_points(live.as_mut(), bp_line) {
+        let live_tags = match drive_control_scenario(live.as_mut(), bp_line, watched, tracked) {
             Ok(tags) => tags,
             Err(e) => return (self.error(pair, seed, "live drive failed", &e), Vec::new()),
         };
         live.terminate();
         let mut replay = ReplayTracker::new(rec);
-        let replay_tags = match drive_with_control_points(&mut replay, bp_line) {
+        let replay_tags = match drive_control_scenario(&mut replay, bp_line, watched, tracked) {
             Ok(tags) => tags,
             Err(e) => return (self.error(pair, seed, "replay drive failed", &e), live_tags),
         };
@@ -858,20 +873,36 @@ fn run_chaos_scenario(t: &mut MiTracker, bp_line: u32) -> Result<ScenarioRun, Tr
     Ok(ScenarioRun { tags, output, exit })
 }
 
-/// Drives a tracker through a fixed reason-directed scenario and returns
-/// the observed pause-reason tag sequence: set a line breakpoint, watch
-/// `v0`, track `f0`; `finish` out of the first tracked call, `next` at
-/// the first breakpoint, `resume` otherwise.
+/// The watched variable and tracked function of the shared-AST programs
+/// (the C and MiniPy renderings of one generated program).
+const SHARED_AST_POINTS: (&str, &str) = ("v0", "f0");
+
+/// [`drive_control_scenario`] for a shared-AST program: watch `v0`, track
+/// `f0`.
 pub fn drive_with_control_points(
     t: &mut dyn Tracker,
     bp_line: u32,
+) -> Result<Vec<String>, TrackerError> {
+    let (watched, tracked) = SHARED_AST_POINTS;
+    drive_control_scenario(t, bp_line, watched, tracked)
+}
+
+/// Drives a tracker through a fixed reason-directed scenario and returns
+/// the observed pause-reason tag sequence: set a line breakpoint, watch
+/// `watched`, track `tracked`; `finish` out of the first tracked call,
+/// `next` at the first breakpoint, `resume` otherwise.
+pub fn drive_control_scenario(
+    t: &mut dyn Tracker,
+    bp_line: u32,
+    watched: &str,
+    tracked: &str,
 ) -> Result<Vec<String>, TrackerError> {
     let mut tags = Vec::new();
     let r = t.start()?;
     tags.push(r.tag().to_string());
     t.break_before_line(bp_line)?;
-    t.watch("v0")?;
-    t.track_function("f0", None)?;
+    t.watch(watched)?;
+    t.track_function(tracked, None)?;
     let mut finished = false;
     let mut stepped = false;
     let mut r = t.resume()?;

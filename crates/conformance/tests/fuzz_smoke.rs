@@ -100,6 +100,30 @@ fn fuzz_smoke_control_points() {
     );
 }
 
+/// The RISC-V control-point oracle across the CI budget: live reason
+/// sequences against a replay of the same program's recording.
+#[test]
+#[ignore = "bounded CI fuzz job; run with --include-ignored"]
+fn fuzz_smoke_control_points_asm() {
+    let driver = Driver::new();
+    let mut failures = Vec::new();
+    for seed in 0..200 {
+        let (div, _) = driver.check_control_points_asm(seed);
+        failures.extend(div.iter().map(|d| d.to_string()));
+    }
+    assert!(
+        failures.is_empty(),
+        "{} divergence(s):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    let snap = driver.registry().snapshot();
+    assert_eq!(
+        snap.counter("conformance.pair.asm_control_points_vs_replay"),
+        200
+    );
+}
+
 /// The real-process leg: `mi-server` children over stdio pipes must
 /// produce byte-identical serialized states to the in-process channel.
 #[test]

@@ -464,11 +464,7 @@ impl PyTracker {
         let mut span = self.obs.span(format!("tracker.control.{}", mode.kind()));
         span.category("tracker");
         if let Some(code) = self.exit {
-            let status = if code == -1 {
-                ExitStatus::Crashed
-            } else {
-                ExitStatus::Exited(code)
-            };
+            let status = ExitStatus::from_code(code);
             span.tag("pause_reason", PauseReason::Exited(status).tag());
             return Ok(PauseReason::Exited(status));
         }

@@ -323,12 +323,7 @@ impl ReplayTracker {
     }
 
     fn exited_reason(&self) -> PauseReason {
-        let code = self.exit_code();
-        PauseReason::Exited(if code == -1 {
-            ExitStatus::Crashed
-        } else {
-            ExitStatus::Exited(code)
-        })
+        PauseReason::Exited(ExitStatus::from_code(self.exit_code()))
     }
 
     /// Number of frames named `function` anywhere on the stack at `state`.

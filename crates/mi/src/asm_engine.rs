@@ -1,16 +1,20 @@
-//! The RISC-V debugger engine: the MI command set over the simulator.
+//! The RISC-V debugger engine: the MI command set over the simulator,
+//! adapted to the shared control core ([`crate::control`]).
 //!
-//! Breakpoints are checked *before* executing the instruction at the
-//! paused pc (like a hardware debugger), function tracking keeps a shadow
-//! call stack keyed by `jal ra` / `jalr zero, 0(ra)` control transfers,
-//! and the pause-before-return check decodes the instruction at the pc —
-//! the direct analogue of the paper's scan-for-`retq` trick, applied to
-//! `ret`.
+//! Like a hardware debugger it stops *before* the instruction at the
+//! paused pc, after checking the slice's fuel (retired instructions).
+//! There it reports a `Call` event when the pc is a label's address (a
+//! function breakpoint fires at the label address), a `Line` event at the
+//! first word of a source line or a watch-only `Store` event at any other,
+//! and a `Return` event before a `ret` — the analogue of the paper's
+//! scan-for-`retq` trick. Tracking keeps a shadow call stack keyed by
+//! `jal ra` / `jalr zero, 0(ra)` control transfers.
 //!
 //! Watchable things: registers by name (`a0`, `sp`, ...) and raw memory
 //! ranges written `*0xADDR:LEN`.
 
-use crate::protocol::{Command, ResourceKind, Response};
+use crate::control::{Core, Event, Inferior, Next};
+use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use miniasm::asm::AsmProgram;
 use miniasm::isa::{decode, parse_reg, reg_name, Inst};
@@ -19,119 +23,49 @@ use state::{
     ExitStatus, Frame, PauseReason, Prim, ProgramState, Scope, SourceLocation, Value, Variable,
 };
 
-#[derive(Debug, Clone)]
-enum BpKind {
-    Line(u32),
-    FuncEntry { addr: u32, maxdepth: Option<u32> },
-}
-
-#[derive(Debug, Clone)]
-struct Breakpoint {
-    id: u64,
-    kind: BpKind,
-}
-
-#[derive(Debug, Clone)]
-struct Track {
-    addr: u32,
-    name: String,
-    maxdepth: Option<u32>,
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum WatchKind {
     Reg(u8),
     Mem { addr: u32, len: u32 },
 }
 
-#[derive(Debug, Clone)]
-struct Watch {
-    id: u64,
-    name: String,
-    kind: WatchKind,
-    last: Option<String>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    Resume,
-    Step { line: u32 },
-    Next { line: u32, depth: usize },
-    Finish { depth: usize },
-}
-
-/// One shadow-stack entry.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShadowFrame {
-    name: String,
+    /// The function's entry address, which is its id.
+    entry: u32,
     call_line: u32,
 }
 
-/// A control command's in-flight progress, stashed when its slice runs
-/// out of fuel. Unlike MiniC, `first` and `finish_fired` live in the
-/// run loop here, so a yield must carry them across to the resume.
+/// `ret`, that is `jalr zero, 0(ra)`.
+const RET: Inst = Inst::Jalr {
+    rd: 0,
+    rs1: 1,
+    imm: 0,
+};
+
+/// What the adapter does next at the paused pc.
 #[derive(Debug, Clone, Copy)]
-struct SliceState {
-    mode: Mode,
-    /// Pre-execution checks are skipped at the command's first paused
-    /// pc; false once anything has executed.
-    first: bool,
-    /// Set when the `finish` target frame has returned.
-    finish_fired: bool,
-}
-
-impl SliceState {
-    fn fresh(mode: Mode) -> Self {
-        SliceState {
-            mode,
-            first: true,
-            finish_fired: false,
-        }
-    }
-}
-
-/// How one fuel-bounded run burst ended (internal to the engine; the
-/// protocol never sees `OutOfFuel`).
-enum RunOutcome {
-    Paused(PauseReason),
-    /// Fuel ran out mid-command; progress is stashed in `pending_slice`.
-    OutOfFuel,
-    /// A hard budget tripped: terminal, reported typed.
-    Exhausted {
-        which: ResourceKind,
-        used: u64,
-        limit: u64,
-    },
+enum Phase {
+    Call,
+    Line,
+    Return,
+    Exec,
 }
 
 /// The RISC-V engine (see the [module docs](self)).
 #[derive(Debug)]
-pub struct AsmEngine {
+pub struct AsmEngine(Core<Asm>);
+
+/// The simulator as the control core drives it.
+#[derive(Debug)]
+struct Asm {
     cpu: Cpu,
-    started: bool,
-    bps: Vec<Breakpoint>,
-    tracked: Vec<Track>,
-    watches: Vec<Watch>,
-    next_id: u64,
     shadow: Vec<ShadowFrame>,
-    last_reason: PauseReason,
-    output_cursor: usize,
-    crashed: Option<String>,
-    crash_reported: bool,
+    phase: Phase,
     registry: Option<obs::Registry>,
     /// In-engine profiler; lives here (not in the CPU) because function
     /// identity comes from the shadow call stack.
     prof: Option<Box<obs::Profiler>>,
-    /// A control command that yielded on fuel, waiting for
-    /// [`Engine::resume_sliced`].
-    pending_slice: Option<SliceState>,
-    /// Hard step budget ([`Command::SetLimits`] `max_steps`), measured
-    /// against retired instructions. The heap budget does not apply:
-    /// the simulator has no allocator.
-    max_steps: Option<u64>,
-    /// Set once a hard budget trips; terminal — later control commands
-    /// repeat the same typed verdict instead of running the inferior.
-    exhausted: Option<(ResourceKind, u64, u64)>,
 }
 
 /// Coarse instruction class for per-class retirement counts.
@@ -149,57 +83,32 @@ fn inst_class(inst: &Inst) -> &'static str {
 impl AsmEngine {
     /// Creates an engine with the program loaded, paused at the entry.
     pub fn new(program: &AsmProgram) -> Self {
-        let cpu = Cpu::new(program);
-        let entry_name = program.label_at(program.entry).unwrap_or("main").to_owned();
-        AsmEngine {
-            cpu,
-            started: false,
-            bps: Vec::new(),
-            tracked: Vec::new(),
-            watches: Vec::new(),
-            next_id: 1,
+        AsmEngine(Core::new(Asm {
+            cpu: Cpu::new(program),
             shadow: vec![ShadowFrame {
-                name: entry_name,
+                entry: program.entry,
                 call_line: 0,
             }],
-            last_reason: PauseReason::NotStarted,
-            output_cursor: 0,
-            crashed: None,
-            crash_reported: false,
+            // Nothing is reported at the entry pc: `Start` pauses there.
+            phase: Phase::Exec,
             registry: None,
             prof: None,
-            pending_slice: None,
-            max_steps: None,
-            exhausted: None,
-        }
+        }))
     }
 
     /// Publishes `vm.miniasm.*` execution stats into `registry` after
     /// every control command: retired instructions and shadow-stack depth.
     pub fn set_registry(&mut self, registry: obs::Registry) {
-        self.registry = Some(registry);
-    }
-
-    fn publish_stats(&self) {
-        let Some(reg) = &self.registry else {
-            return;
-        };
-        // Absolute readings: gauges, so merged snapshots never double-add.
-        reg.set_gauge("vm.miniasm.instret", self.cpu.instret());
-        reg.set_gauge("vm.miniasm.shadow_depth", self.shadow.len() as u64);
+        self.0.inferior.registry = Some(registry);
     }
 
     /// Read access to the CPU.
     pub fn cpu(&self) -> &Cpu {
-        &self.cpu
+        &self.0.inferior.cpu
     }
+}
 
-    fn alloc_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
+impl Asm {
     fn location(&self, line: u32) -> SourceLocation {
         SourceLocation::new(self.cpu.program().file.clone(), line)
     }
@@ -214,307 +123,16 @@ impl AsmEngine {
         }
     }
 
-    fn eval_watch(&self, kind: &WatchKind) -> Option<String> {
-        match kind {
-            WatchKind::Reg(r) => Some((self.cpu.reg(*r) as i32).to_string()),
-            WatchKind::Mem { addr, len } => self
-                .cpu
-                .read_mem(*addr, *len)
-                .map(|bytes| format!("{bytes:02x?}")),
-        }
-    }
-
-    fn check_watches(&mut self) -> Option<PauseReason> {
-        let evals: Vec<Option<String>> = self
-            .watches
-            .iter()
-            .map(|w| self.eval_watch(&w.kind))
-            .collect();
-        let mut hit = None;
-        for (w, current) in self.watches.iter_mut().zip(evals) {
-            let changed = current.is_some() && w.last != current;
-            if changed && hit.is_none() {
-                hit = Some(PauseReason::Watchpoint {
-                    id: w.id,
-                    variable: w.name.clone(),
-                    old: w.last.clone(),
-                    new: current.clone().expect("changed implies Some"),
-                });
-            }
-            if current.is_some() {
-                w.last = current;
-            }
-        }
-        hit
-    }
-
-    /// The decoded instruction about to execute, if decodable.
-    fn pending_inst(&self) -> Option<Inst> {
-        self.cpu.read_word(self.cpu.pc()).and_then(decode)
-    }
-
-    /// Runs the CPU from `slice` until a pause condition is met, the
-    /// slice's `fuel` (in retired instructions) runs out, or a hard
-    /// budget trips. The fuel check sits before the pre-execution
-    /// checks, so each paused pc is inspected exactly once whether or
-    /// not a yield lands on it — slicing stays invisible.
-    fn run(&mut self, slice: SliceState, fuel: Option<u64>) -> RunOutcome {
-        if let Some(code) = self.cpu.exit_code() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-        }
-        if self.crashed.is_some() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-        }
-        let SliceState {
-            mode,
-            mut first,
-            mut finish_fired,
-        } = slice;
-        let mut spent = 0u64;
-        loop {
-            if let Some(f) = fuel {
-                if spent >= f {
-                    self.pending_slice = Some(SliceState {
-                        mode,
-                        first,
-                        finish_fired,
-                    });
-                    return RunOutcome::OutOfFuel;
-                }
-            }
-            // ---- pre-execution checks (we are paused *before* pc) ------
-            if !first {
-                let pc = self.cpu.pc();
-                let line = self.cpu.current_line();
-                if let Some(bp) = self.bps.iter().find(|bp| match bp.kind {
-                    BpKind::Line(l) => l == line && self.is_line_start(pc),
-                    BpKind::FuncEntry { addr, maxdepth } => {
-                        addr == pc && maxdepth.is_none_or(|m| self.shadow.len() as u32 <= m + 1)
-                    }
-                }) {
-                    return RunOutcome::Paused(PauseReason::Breakpoint {
-                        id: bp.id,
-                        location: self.location(line),
-                    });
-                }
-                // Tracked function entry: paused at its first instruction.
-                let depth = (self.shadow.len() - 1) as u32;
-                if let Some(t) = self
-                    .tracked
-                    .iter()
-                    .find(|t| t.addr == pc && t.maxdepth.is_none_or(|m| depth <= m))
-                {
-                    // Only when we *just* entered (previous instruction was
-                    // the call) — the shadow top carries the name.
-                    if self.shadow.last().map(|f| f.name.as_str()) == Some(t.name.as_str()) {
-                        return RunOutcome::Paused(PauseReason::FunctionCall {
-                            function: t.name.clone(),
-                            depth,
-                        });
-                    }
-                }
-                // Tracked function about to return (paper's retq scan).
-                if matches!(
-                    self.pending_inst(),
-                    Some(Inst::Jalr {
-                        rd: 0,
-                        rs1: 1,
-                        imm: 0
-                    })
-                ) {
-                    if let Some(top) = self.shadow.last() {
-                        let depth = (self.shadow.len() - 1) as u32;
-                        if self
-                            .tracked
-                            .iter()
-                            .any(|t| t.name == top.name && t.maxdepth.is_none_or(|m| depth <= m))
-                        {
-                            return RunOutcome::Paused(PauseReason::FunctionReturn {
-                                function: top.name.clone(),
-                                depth,
-                                return_value: Some((self.cpu.reg(10) as i32).to_string()),
-                            });
-                        }
-                    }
-                }
-                if finish_fired {
-                    return RunOutcome::Paused(PauseReason::Step);
-                }
-                match mode {
-                    Mode::Step { line: from } => {
-                        if line != from && line != 0 {
-                            return RunOutcome::Paused(PauseReason::Step);
-                        }
-                    }
-                    Mode::Next { line: from, depth } => {
-                        if self.shadow.len() <= depth && line != from && line != 0 {
-                            return RunOutcome::Paused(PauseReason::Step);
-                        }
-                    }
-                    Mode::Resume | Mode::Finish { .. } => {}
-                }
-            }
-            first = false;
-
-            // ---- execute one instruction -------------------------------
-            let info = match self.cpu.step() {
-                Ok(i) => i,
-                Err(e) => {
-                    self.crashed = Some(e.to_string());
-                    return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-                }
-            };
-            spent += 1;
-            if let Some(limit) = self.max_steps {
-                let used = self.cpu.instret();
-                if used > limit {
-                    return RunOutcome::Exhausted {
-                        which: ResourceKind::Steps,
-                        used,
-                        limit,
-                    };
-                }
-            }
-            // Retired-instruction hooks, before the control transfer is
-            // applied: a `jal` is charged to its caller.
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.tick();
-                p.line(info.line);
-                p.inst_class(inst_class(&info.inst));
-            }
-            if let Some(code) = info.exit {
-                return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-            }
-            match info.control {
-                Some(Control::Call { target }) => {
-                    let name = self
-                        .cpu
-                        .program()
-                        .label_at(target)
-                        .unwrap_or("<anonymous>")
-                        .to_owned();
-                    if let Some(p) = self.prof.as_deref_mut() {
-                        let id = p.intern(&name);
-                        p.enter(id);
-                    }
-                    self.shadow.push(ShadowFrame {
-                        name,
-                        call_line: info.line,
-                    });
-                }
-                Some(Control::Return) => {
-                    if self.shadow.len() > 1 {
-                        self.shadow.pop();
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.exit();
-                        }
-                    }
-                    if let Mode::Finish { depth } = mode {
-                        if self.shadow.len() < depth {
-                            finish_fired = true;
-                        }
-                    }
-                }
-                None => {}
-            }
-            if !self.watches.is_empty() {
-                if let Some(reason) = self.check_watches() {
-                    return RunOutcome::Paused(reason);
-                }
-            }
-        }
-    }
-
-    /// Starts a *fresh* control command, optionally fuel-bounded.
-    fn control_sliced(&mut self, mode: Mode, fuel: Option<u64>) -> SliceOutcome {
-        if !self.started {
-            return SliceOutcome::Done(Response::Error {
-                message: "inferior not started (call start first)".into(),
-            });
-        }
-        self.burst(SliceState::fresh(mode), fuel)
-    }
-
-    fn control(&mut self, mode: Mode) -> Response {
-        match self.control_sliced(mode, None) {
-            SliceOutcome::Done(resp) => resp,
-            SliceOutcome::Yielded => unreachable!("unfueled run cannot yield"),
-        }
-    }
-
-    /// One fuel-bounded run burst: shared by fresh commands and slice
-    /// resumes. The per-burst span is telemetry only, so slicing stays
-    /// invisible on the protocol.
-    fn burst(&mut self, slice: SliceState, fuel: Option<u64>) -> SliceOutcome {
-        if let Some((which, used, limit)) = self.exhausted {
-            // Terminal: every later control command repeats the verdict.
-            return SliceOutcome::Done(Response::ResourceExhausted { which, used, limit });
-        }
-        self.pending_slice = None;
-        // Times the CPU burst this control command caused; joins the
-        // tracker's trace when the command frame carried a context.
-        let span = self.registry.as_ref().map(|reg| {
-            let mut span = reg.span("vm.miniasm.exec");
-            span.category("vm");
-            span
-        });
-        let outcome = self.run(slice, fuel);
-        if let Some(mut span) = span {
-            let tag = match &outcome {
-                RunOutcome::Paused(reason) => reason.to_string(),
-                RunOutcome::OutOfFuel => "slice".to_owned(),
-                RunOutcome::Exhausted { which, .. } => format!("exhausted:{which}"),
-            };
-            span.tag("pause_reason", tag);
-            span.finish();
-        }
-        self.publish_stats();
-        match outcome {
-            RunOutcome::Paused(reason) => {
-                self.last_reason = reason.clone();
-                SliceOutcome::Done(Response::Paused(reason))
-            }
-            RunOutcome::OutOfFuel => SliceOutcome::Yielded,
-            RunOutcome::Exhausted { which, used, limit } => {
-                self.exhausted = Some((which, used, limit));
-                SliceOutcome::Done(Response::ResourceExhausted { which, used, limit })
-            }
-        }
-    }
-
-    /// Maps a control command to its run mode, with the same pre-flight
-    /// checks for the plain and sliced paths. `None` for non-control
-    /// commands (including `Start`, which executes nothing here: the
-    /// CPU is already paused before the entry instruction).
-    fn prepare(&mut self, command: &Command) -> Option<Result<Mode, Response>> {
-        match command {
-            Command::Resume => Some(Ok(Mode::Resume)),
-            Command::Step => {
-                let line = self.cpu.current_line();
-                Some(Ok(Mode::Step { line }))
-            }
-            Command::Next => {
-                let line = self.cpu.current_line();
-                let depth = self.shadow.len();
-                Some(Ok(Mode::Next { line, depth }))
-            }
-            Command::Finish => {
-                let depth = self.shadow.len();
-                Some(if depth <= 1 {
-                    Err(Response::Error {
-                        message: "cannot finish the outermost frame".into(),
-                    })
-                } else {
-                    Ok(Mode::Finish { depth })
-                })
-            }
-            _ => None,
-        }
+    /// Name of the function entered at `entry`.
+    fn function_label(&self, entry: u32) -> &str {
+        let p = self.cpu.program();
+        let entry_name = (entry == p.entry).then_some("main");
+        p.label_at(entry).or(entry_name).unwrap_or("<anonymous>")
     }
 
     /// Builds the frame chain from the shadow stack; the innermost frame
     /// carries the register file as its variables.
-    fn build_state(&self) -> ProgramState {
+    fn build_state(&self, last_reason: &PauseReason) -> ProgramState {
         let mut result: Option<Frame> = None;
         let n = self.shadow.len();
         for (depth, sf) in self.shadow.iter().enumerate() {
@@ -527,7 +145,8 @@ impl AsmEngine {
                     .map(|child| child.call_line)
                     .unwrap_or(0)
             };
-            let mut frame = Frame::new(sf.name.clone(), depth as u32, self.location(line));
+            let name = self.function_label(sf.entry).to_owned();
+            let mut frame = Frame::new(name, depth as u32, self.location(line));
             if depth + 1 == n {
                 for var in self.cpu.register_variables() {
                     frame.insert_variable(var);
@@ -541,7 +160,7 @@ impl AsmEngine {
         ProgramState::new(
             result.expect("shadow stack never empty"),
             self.data_globals(),
-            self.last_reason.clone(),
+            last_reason.clone(),
         )
     }
 
@@ -565,124 +184,188 @@ impl AsmEngine {
     }
 }
 
-impl Engine for AsmEngine {
-    fn handle(&mut self, command: Command) -> Response {
-        match self.prepare(&command) {
-            Some(Err(resp)) => return resp,
-            Some(Ok(mode)) => return self.control(mode),
-            None => {}
-        }
-        match command {
-            Command::Start => {
-                if self.started {
-                    return Response::Error {
-                        message: "inferior already started".into(),
-                    };
+impl Inferior for Asm {
+    type Func = u32;
+    type Value = i32;
+    type Target = WatchKind;
+    const SPAN: &'static str = "vm.miniasm.exec";
+    const START_RUNS: bool = false;
+
+    fn advance(&mut self, fuel: &mut u64) -> Next<u32, i32> {
+        loop {
+            let pc = self.cpu.pc();
+            let depth = self.shadow.len();
+            match self.phase {
+                Phase::Call if *fuel == 0 => return Next::OutOfFuel,
+                Phase::Call => {
+                    self.phase = Phase::Line;
+                    if self.cpu.program().labels.iter().any(|&(_, a)| a == pc) {
+                        let (function, depth) = (pc, depth as u32 - 1);
+                        return Next::Event(Event::Call { function, depth });
+                    }
                 }
-                self.started = true;
-                self.last_reason = PauseReason::Started;
-                // Paused before the entry instruction; nothing executed.
-                Response::Paused(PauseReason::Started)
-            }
-            Command::Resume | Command::Step | Command::Next | Command::Finish => {
-                unreachable!("control commands are routed through prepare")
-            }
-            Command::SetBreakLine { line } => {
-                let lines = self.cpu.program().breakable_lines();
-                let Some(&actual) = lines.iter().find(|&&l| l >= line) else {
-                    return Response::Error {
-                        message: format!("no code at or after line {line}"),
+                Phase::Line => {
+                    let is_ret = self.cpu.read_word(pc).and_then(decode) == Some(RET);
+                    self.phase = if is_ret { Phase::Return } else { Phase::Exec };
+                    return Next::Event(if self.is_line_start(pc) {
+                        let line = self.cpu.current_line();
+                        Event::Line { line, depth }
+                    } else {
+                        Event::Store
+                    });
+                }
+                Phase::Return => {
+                    self.phase = Phase::Exec;
+                    return Next::Event(Event::Return {
+                        function: self.shadow[depth - 1].entry,
+                        depth: depth as u32 - 1,
+                        value: Some(self.cpu.reg(10) as i32),
+                    });
+                }
+                Phase::Exec => {
+                    *fuel = fuel.saturating_sub(1);
+                    let info = match self.cpu.step() {
+                        Ok(info) => info,
+                        Err(e) => return Next::Crash(e.to_string()),
                     };
-                };
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::Line(actual),
-                });
-                Response::Created { id }
-            }
-            Command::SetBreakFunc { function, maxdepth } => {
-                let Some(addr) = self.cpu.program().label(&function) else {
-                    return Response::Error {
-                        message: format!("unknown label `{function}`"),
-                    };
-                };
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::FuncEntry { addr, maxdepth },
-                });
-                Response::Created { id }
-            }
-            Command::TrackFunction { function, maxdepth } => {
-                let Some(addr) = self.cpu.program().label(&function) else {
-                    return Response::Error {
-                        message: format!("unknown label `{function}`"),
-                    };
-                };
-                self.tracked.push(Track {
-                    addr,
-                    name: function,
-                    maxdepth,
-                });
-                let id = self.alloc_id();
-                Response::Created { id }
-            }
-            Command::Watch { variable } => {
-                let kind = if let Some(r) = parse_reg(&variable) {
-                    WatchKind::Reg(r)
-                } else if let Some(spec) = variable.strip_prefix('*') {
-                    let (addr_s, len_s) = spec.split_once(':').unwrap_or((spec, "4"));
-                    let addr = parse_u32(addr_s);
-                    let len = parse_u32(len_s);
-                    match (addr, len) {
-                        (Some(addr), Some(len)) if len > 0 && len <= 256 => {
-                            WatchKind::Mem { addr, len }
+                    self.phase = Phase::Call;
+                    // Retired-instruction hooks, before the control
+                    // transfer is applied: a `jal` is charged to its caller.
+                    if let Some(p) = self.prof.as_deref_mut() {
+                        p.tick();
+                        p.line(info.line);
+                        p.inst_class(inst_class(&info.inst));
+                    }
+                    if let Some(code) = info.exit {
+                        return Next::Stop(Box::new(PauseReason::Exited(ExitStatus::Exited(code))));
+                    }
+                    match info.control {
+                        Some(Control::Call { target }) => {
+                            if let Some(p) = self.prof.as_deref_mut() {
+                                let name = self.cpu.program().label_at(target);
+                                let id = p.intern(name.unwrap_or("<anonymous>"));
+                                p.enter(id);
+                            }
+                            self.shadow.push(ShadowFrame {
+                                entry: target,
+                                call_line: info.line,
+                            });
                         }
-                        _ => {
-                            return Response::Error {
-                                message: format!("bad memory watch `{variable}`"),
+                        Some(Control::Return) if self.shadow.len() > 1 => {
+                            self.shadow.pop();
+                            if let Some(p) = self.prof.as_deref_mut() {
+                                p.exit();
                             }
                         }
+                        Some(Control::Return) | None => {}
                     }
-                } else if let Some(addr) = self.cpu.program().label(&variable) {
-                    WatchKind::Mem { addr, len: 4 }
-                } else {
-                    return Response::Error {
-                        message: format!(
-                            "cannot watch `{variable}` (register, label or *0xADDR:LEN)"
-                        ),
-                    };
-                };
-                let last = self.eval_watch(&kind);
-                let id = self.alloc_id();
-                self.watches.push(Watch {
-                    id,
-                    name: variable,
-                    kind,
-                    last,
-                });
-                Response::Created { id }
-            }
-            Command::Delete { id } => {
-                let before = self.bps.len() + self.watches.len();
-                self.bps.retain(|b| b.id != id);
-                self.watches.retain(|w| w.id != id);
-                if self.bps.len() + self.watches.len() == before {
-                    Response::Error {
-                        message: format!("no breakpoint or watchpoint {id}"),
-                    }
-                } else {
-                    Response::Ok
+                    return Next::Quiet;
                 }
             }
+        }
+    }
+
+    fn point_continues(&self) -> bool {
+        // A `ret` reports its `Return` at the same pc, after the line.
+        matches!(self.phase, Phase::Return)
+    }
+
+    fn position(&self) -> (u32, usize) {
+        (self.cpu.current_line(), self.shadow.len())
+    }
+
+    fn usage(&self) -> (u64, Option<u64>) {
+        // The simulator has no allocator: the heap budget does not apply.
+        (self.cpu.instret(), None)
+    }
+
+    fn exit_code(&self) -> Option<i64> {
+        self.cpu.exit_code()
+    }
+
+    fn output(&self) -> &str {
+        self.cpu.output()
+    }
+
+    fn registry(&self) -> Option<&obs::Registry> {
+        self.registry.as_ref()
+    }
+
+    fn publish_stats(&self) {
+        let Some(reg) = &self.registry else {
+            return;
+        };
+        // Absolute readings: gauges, so merged snapshots never double-add.
+        reg.set_gauge("vm.miniasm.instret", self.cpu.instret());
+        reg.set_gauge("vm.miniasm.shadow_depth", self.shadow.len() as u64);
+    }
+
+    fn set_watching(&mut self, _: bool) {}
+
+    fn source(&self) -> (&str, &str) {
+        (&self.cpu.program().file, &self.cpu.program().source)
+    }
+
+    fn breakable_lines(&self) -> Vec<u32> {
+        self.cpu.program().breakable_lines()
+    }
+
+    fn resolve_function(&self, name: &str) -> Result<u32, String> {
+        self.cpu
+            .program()
+            .label(name)
+            .ok_or_else(|| format!("unknown label `{name}`"))
+    }
+
+    fn function_name(&self, function: u32) -> String {
+        self.function_label(function).to_owned()
+    }
+
+    fn entry_line(&self, function: u32) -> u32 {
+        self.cpu.program().line_at(function).unwrap_or(0)
+    }
+
+    fn resolve_watch(&self, spec: &str) -> Result<WatchKind, String> {
+        if let Some(r) = parse_reg(spec) {
+            Ok(WatchKind::Reg(r))
+        } else if let Some(range) = spec.strip_prefix('*') {
+            let (addr_s, len_s) = range.split_once(':').unwrap_or((range, "4"));
+            let addr = parse_u32(addr_s);
+            let len = parse_u32(len_s);
+            match (addr, len) {
+                (Some(addr), Some(len)) if len > 0 && len <= 256 => {
+                    Ok(WatchKind::Mem { addr, len })
+                }
+                _ => Err(format!("bad memory watch `{spec}`")),
+            }
+        } else if let Some(addr) = self.cpu.program().label(spec) {
+            Ok(WatchKind::Mem { addr, len: 4 })
+        } else {
+            Err(format!(
+                "cannot watch `{spec}` (register, label or *0xADDR:LEN)"
+            ))
+        }
+    }
+
+    fn eval_watch(&self, kind: &WatchKind) -> Option<String> {
+        match kind {
+            WatchKind::Reg(r) => Some((self.cpu.reg(*r) as i32).to_string()),
+            WatchKind::Mem { addr, len } => self
+                .cpu
+                .read_mem(*addr, *len)
+                .map(|bytes| format!("{bytes:02x?}")),
+        }
+    }
+
+    fn serve(&mut self, command: Command, started: bool, last_reason: &PauseReason) -> Response {
+        match command {
             Command::GetState => {
-                if !self.started {
+                if !started {
                     return Response::Error {
                         message: "inferior not started".into(),
                     };
                 }
-                Response::State(Box::new(self.build_state()))
+                Response::State(Box::new(self.build_state(last_reason)))
             }
             Command::GetGlobals => Response::Globals(self.data_globals()),
             Command::GetVariable { name } => {
@@ -728,29 +411,6 @@ impl Engine for AsmEngine {
                     },
                 }
             }
-            Command::GetOutput => {
-                let all = self.cpu.output();
-                let new = all[self.output_cursor.min(all.len())..].to_owned();
-                self.output_cursor = all.len();
-                let with_crash = match &self.crashed {
-                    Some(msg) if !self.crash_reported => {
-                        self.crash_reported = true;
-                        format!("{new}{msg}\n")
-                    }
-                    _ => new,
-                };
-                Response::Output(with_crash)
-            }
-            Command::GetExitCode => Response::ExitCode(if self.crashed.is_some() {
-                Some(-1)
-            } else {
-                self.cpu.exit_code()
-            }),
-            Command::GetSource => Response::Source {
-                file: self.cpu.program().file.clone(),
-                text: self.cpu.program().source.clone(),
-            },
-            Command::GetBreakableLines => Response::Lines(self.cpu.program().breakable_lines()),
             // The dataflow analysis and the sanitizer are defined over
             // MiniC bytecode; assembly programs have neither.
             Command::Analyze => Response::Error {
@@ -763,7 +423,7 @@ impl Engine for AsmEngine {
                 message: "sanitizer mode is not supported for assembly programs".into(),
             },
             Command::SetProfile { mode, period } => {
-                if self.started && mode != obs::ProfileMode::Off {
+                if started && mode != obs::ProfileMode::Off {
                     return Response::Error {
                         message: "profiling must be armed before start".into(),
                     };
@@ -775,7 +435,7 @@ impl Engine for AsmEngine {
                     // Frames alive at arm time (the entry label) enter the
                     // profile now, like the MiniC VM's seeding.
                     for sf in &self.shadow {
-                        let id = p.intern(&sf.name);
+                        let id = p.intern(self.function_label(sf.entry));
                         p.enter(id);
                     }
                     self.prof = Some(p);
@@ -788,64 +448,22 @@ impl Engine for AsmEngine {
                     .map(obs::Profiler::report)
                     .unwrap_or_default(),
             )),
-            // The serve loop normally answers Ping and Telemetry itself;
-            // answering here too keeps `handle` total for engines driven
-            // directly.
-            Command::Ping => Response::Pong {
-                now_us: self.registry.as_ref().map_or(0, obs::Registry::now_us),
-            },
-            Command::Telemetry { since } => {
-                // No export ring at this layer: metrics only.
-                let frame = match &self.registry {
-                    Some(reg) => obs::telemetry::collect_frame(reg, None, since),
-                    None => obs::TelemetryFrame::default(),
-                };
-                Response::Telemetry(Box::new(frame))
-            }
-            Command::Terminate => Response::Ok,
-            Command::SetLimits { max_steps, .. } => {
-                // Steps are enforced here against retired instructions;
-                // the heap budget has nothing to bind to (no allocator)
-                // and wall time / queue depth are the host's job.
-                self.max_steps = max_steps;
-                Response::Ok
-            }
-            // Session management is the host's job, not an engine's.
-            Command::OpenSession { .. }
-            | Command::CloseSession { .. }
-            | Command::OpenReplay { .. } => Response::Error {
-                message: "session commands are handled by the host, not an engine".into(),
-            },
-            // The trace vocabulary is served by the RecordingEngine
-            // wrapper every spawned session carries, never by a bare
-            // engine.
-            Command::Record { .. }
-            | Command::Seek { .. }
-            | Command::QueryHistory { .. }
-            | Command::TraceStats
-            | Command::PublishTrace { .. } => Response::Error {
-                message: "trace commands are handled by the recording wrapper".into(),
-            },
+            other => unreachable!("{} is served by the control core", other.kind()),
         }
+    }
+}
+
+impl Engine for AsmEngine {
+    fn handle(&mut self, command: Command) -> Response {
+        self.0.handle(command)
     }
 
     fn handle_sliced(&mut self, command: Command, fuel: u64) -> SliceOutcome {
-        match self.prepare(&command) {
-            Some(Err(resp)) => SliceOutcome::Done(resp),
-            Some(Ok(mode)) => self.control_sliced(mode, Some(fuel)),
-            None => SliceOutcome::Done(self.handle(command)),
-        }
+        self.0.handle_sliced(command, Some(fuel))
     }
 
     fn resume_sliced(&mut self, fuel: u64) -> SliceOutcome {
-        match self.pending_slice {
-            // Resume, not restart: the stashed `first`/`finish_fired`
-            // are the command's progress and survive the yield.
-            Some(slice) => self.burst(slice, Some(fuel)),
-            None => SliceOutcome::Done(Response::Error {
-                message: "no sliced command pending".into(),
-            }),
-        }
+        self.0.resume_sliced(fuel)
     }
 }
 
@@ -1026,6 +644,20 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// `finish` goes by depth: a step onto the `ret` has already passed
+    /// the frame's `Return` event, and `finish` must still stop in main.
+    #[test]
+    fn finish_from_the_ret_stops_in_the_caller() {
+        let mut e = engine(CALLPROG);
+        e.handle(Command::Start);
+        paused(e.handle(Command::Step)); // at the call
+        paused(e.handle(Command::Step)); // into double, line 7
+        assert_eq!(paused(e.handle(Command::Step)), PauseReason::Step);
+        assert_eq!(e.cpu().current_line(), 8); // ret
+        assert_eq!(paused(e.handle(Command::Finish)), PauseReason::Step);
+        assert_eq!(e.cpu().current_line(), 4); // li a7, 93 in main
     }
 
     #[test]

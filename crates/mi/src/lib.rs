@@ -11,11 +11,14 @@
 //!   framed, sent, and parsed on the other side);
 //! * [`server`] — [`server::Server`] pumps commands into an [`Engine`],
 //!   [`server::Client`] is the tracker-side stub;
-//! * [`minic_engine`] — wraps the MiniC VM: breakpoints (line and
-//!   function-with-`maxdepth`), function tracking with pause-before-return,
-//!   watchpoints driven by store events, step/next/finish;
-//! * [`asm_engine`] — the same contract over the RISC-V simulator, with a
-//!   shadow call stack for function tracking and register/memory access.
+//! * `control` — the control-point core both engines share: breakpoints
+//!   (line and function-with-`maxdepth`), function tracking with
+//!   pause-before-return, watchpoints, step/next/finish, and the fuel and
+//!   budget run driver;
+//! * [`minic_engine`] — adapts the MiniC VM to that core, with
+//!   watchpoints driven by store events;
+//! * [`asm_engine`] — adapts the RISC-V simulator, with a shadow call
+//!   stack for function tracking and register/memory access.
 //!
 //! # Examples
 //!
@@ -37,6 +40,7 @@
 //! ```
 
 pub mod asm_engine;
+pub(crate) mod control;
 pub mod host;
 pub mod minic_engine;
 pub mod protocol;

@@ -1,113 +1,34 @@
-//! The MiniC debugger engine: implements the MI command set over the
-//! MiniC VM's event stream.
+//! The MiniC debugger engine: the MI command set over the MiniC VM,
+//! adapted to the shared control core ([`crate::control`]).
 //!
-//! This is where GDB's control features are reproduced:
-//!
-//! * **line breakpoints** pause at `Line` events;
-//! * **function breakpoints with `maxdepth`** pause at `Call` events (the
-//!   paper implements `maxdepth` as a GDB extension that silently resumes
-//!   when the frame is too deep — the same filter lives in
-//!   [`MinicEngine`]);
-//! * **function tracking** pauses at `Call` events *and* at `Return`
-//!   events, which the VM emits while the returning frame is still intact
-//!   (reproducing the paper's breakpoint-on-`retq` trick);
-//! * **watchpoints** re-evaluate watched variables at every store event —
-//!   store events are only enabled while watchpoints exist, so the
-//!   paper's "watchpoints slow execution down a lot" behaviour is
-//!   measurable;
-//! * **step / next / finish** with GDB's line-change semantics.
+//! The VM's events map one-to-one onto the core's, and fuel counts them.
+//! `Return` events come while the returning frame is still intact,
+//! reproducing the paper's breakpoint-on-`retq` trick. `Store` events
+//! re-check watchpoints; the VM emits them only while a watch is armed, so
+//! the paper's "watchpoints slow execution down a lot" is measurable. A
+//! variable coming into scope is not a change. What stays here is MiniC's
+//! own: variable lookup, state building, and the analyzer, verifier,
+//! sanitizer and optimizer hooks.
 
-use crate::protocol::{Command, ResourceKind, Response};
+use crate::control::{Core, Event, Inferior, Next};
+use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use minic::inspect::{self, InspectOptions};
-use minic::vm::{Event, Vm};
+use minic::vm::{Event as VmEvent, RtVal, Vm};
 use minic::Program;
-use state::{ExitStatus, PauseReason, Prim, ProgramState, SourceLocation, Value, Variable};
-
-#[derive(Debug, Clone)]
-enum BpKind {
-    Line(u32),
-    FuncEntry {
-        function: String,
-        maxdepth: Option<u32>,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Breakpoint {
-    id: u64,
-    kind: BpKind,
-}
-
-#[derive(Debug, Clone)]
-struct Track {
-    function: String,
-    maxdepth: Option<u32>,
-}
-
-#[derive(Debug, Clone)]
-struct Watch {
-    id: u64,
-    name: String,
-    last: Option<String>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    Start,
-    Resume,
-    Step { line: u32, depth: usize },
-    Next { line: u32, depth: usize },
-    Finish { depth: usize },
-}
-
-/// How one fuel-bounded run burst ended (internal to the engine; the
-/// protocol never sees `OutOfFuel`).
-enum RunOutcome {
-    /// A real pause condition — what the protocol reports.
-    Paused(PauseReason),
-    /// The slice's fuel ran out mid-command; the mode is stashed in
-    /// `pending_slice` and `resume_sliced` continues it.
-    OutOfFuel,
-    /// A hard budget tripped: terminal, reported typed.
-    Exhausted {
-        which: ResourceKind,
-        used: u64,
-        limit: u64,
-    },
-}
+use state::{ExitStatus, PauseReason, Prim, ProgramState, Value, Variable};
 
 /// The MiniC engine (see the [module docs](self)).
 #[derive(Debug)]
-pub struct MinicEngine {
+pub struct MinicEngine(Core<Minic>);
+
+/// The VM as the control core drives it.
+#[derive(Debug)]
+struct Minic {
     vm: Vm,
-    started: bool,
-    bps: Vec<Breakpoint>,
-    tracked: Vec<Track>,
-    watches: Vec<Watch>,
-    next_id: u64,
-    last_reason: PauseReason,
-    output_cursor: usize,
-    crashed: Option<String>,
-    crash_reported: bool,
-    /// Set while a `finish` waits for the target frame's return event.
-    finish_fired: bool,
     registry: Option<obs::Registry>,
     /// VM events seen by the control loop (published as `vm.minic.events`).
     events_seen: u64,
-    /// A control command that yielded on fuel, waiting for
-    /// [`Engine::resume_sliced`]. `finish_fired` is deliberately *not*
-    /// reset on resume — it is part of the command's progress.
-    pending_slice: Option<Mode>,
-    /// Hard step budget ([`Command::SetLimits`] `max_steps`), measured
-    /// against the VM's cumulative op count.
-    max_steps: Option<u64>,
-    /// Hard live-heap budget (`max_heap_bytes`), measured against the
-    /// allocator's live-byte gauge after every event.
-    max_heap_bytes: Option<u64>,
-    /// Set once a hard budget trips; terminal — later control commands
-    /// repeat the same typed verdict instead of running the inferior.
-    exhausted: Option<(ResourceKind, u64, u64)>,
     /// When the VM runs an *optimized* program, the original unoptimized
     /// one, kept for `Analyze`: static diagnostics are part of the
     /// observable surface and must not shift when dead code is deleted.
@@ -119,26 +40,12 @@ impl MinicEngine {
     /// Creates an engine with the program loaded but not started.
     pub fn new(program: &Program) -> Self {
         analysis::verify::debug_verify(program);
-        MinicEngine {
+        MinicEngine(Core::new(Minic {
             vm: Vm::new(program),
-            started: false,
-            bps: Vec::new(),
-            tracked: Vec::new(),
-            watches: Vec::new(),
-            next_id: 1,
-            last_reason: PauseReason::NotStarted,
-            output_cursor: 0,
-            crashed: None,
-            crash_reported: false,
-            finish_fired: false,
             registry: None,
             events_seen: 0,
-            pending_slice: None,
-            max_steps: None,
-            max_heap_bytes: None,
-            exhausted: None,
             analysis_program: None,
-        }
+        }))
     }
 
     /// Creates an engine running `program` optimized at `opt` (0 = run it
@@ -157,7 +64,7 @@ impl MinicEngine {
         }
         let (optimized, _report) = analysis::opt::optimize(program, opt)?;
         let mut engine = Self::new(&optimized);
-        engine.analysis_program = Some(Box::new(program.clone()));
+        engine.0.inferior.analysis_program = Some(Box::new(program.clone()));
         Ok(engine)
     }
 
@@ -165,46 +72,16 @@ impl MinicEngine {
     /// control command: ops executed, events seen, heap allocs/frees, and
     /// live heap bytes.
     pub fn set_registry(&mut self, registry: obs::Registry) {
-        self.registry = Some(registry);
+        self.0.inferior.registry = Some(registry);
     }
 
     /// Read access to the VM (used by in-process tools and benches).
     pub fn vm(&self) -> &Vm {
-        &self.vm
+        &self.0.inferior.vm
     }
+}
 
-    fn publish_stats(&self) {
-        let Some(reg) = &self.registry else {
-            return;
-        };
-        // Absolute readings of cumulative VM totals: gauges, not
-        // counters, so a merged cross-process snapshot never adds two
-        // reports of the same total.
-        reg.set_gauge("vm.minic.ops", self.vm.ops_executed());
-        reg.set_gauge("vm.minic.events", self.events_seen);
-        let alloc = self.vm.allocator();
-        reg.set_gauge("vm.minic.heap.allocs", alloc.total_allocs());
-        reg.set_gauge("vm.minic.heap.frees", alloc.total_frees());
-        reg.set_gauge("vm.minic.heap.live_bytes", alloc.live_bytes());
-    }
-
-    fn alloc_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    fn location(&self, line: u32) -> SourceLocation {
-        SourceLocation::new(self.vm.program().file.clone(), line)
-    }
-
-    /// Renders the current value of a watched variable, `None` when it is
-    /// not in scope.
-    fn eval_watch(&self, name: &str) -> Option<String> {
-        self.lookup_variable(name)
-            .map(|v| state::render_value(v.value()))
-    }
-
+impl Minic {
     /// Resolves `var` / `function::var` against the live frames, then the
     /// globals.
     fn lookup_variable(&self, name: &str) -> Option<Variable> {
@@ -265,371 +142,131 @@ impl MinicEngine {
         }
         None
     }
-
-    /// Checks all watchpoints; returns the pause reason for the first
-    /// changed one.
-    fn check_watches(&mut self) -> Option<PauseReason> {
-        let mut hit = None;
-        // Evaluate first (immutable), then update (mutable).
-        let evals: Vec<Option<String>> = self
-            .watches
-            .iter()
-            .map(|w| self.eval_watch(&w.name))
-            .collect();
-        for (w, current) in self.watches.iter_mut().zip(evals) {
-            // A C variable becoming *visible* (entering scope) is not a
-            // modification — prime silently; only value changes trigger.
-            let changed = current.is_some() && w.last.is_some() && w.last != current;
-            if changed && hit.is_none() {
-                hit = Some(PauseReason::Watchpoint {
-                    id: w.id,
-                    variable: w.name.clone(),
-                    old: w.last.clone(),
-                    new: current.clone().expect("changed implies Some"),
-                });
-            }
-            if current.is_some() {
-                w.last = current;
-            }
-        }
-        hit
-    }
-
-    /// Runs the VM until a pause condition for `mode` is met, the slice's
-    /// `fuel` (in VM events) runs out, or a hard budget trips. Callers
-    /// starting a *fresh* command must clear `finish_fired` first; a
-    /// slice resume must not (it is the command's progress).
-    fn run(&mut self, mode: Mode, fuel: Option<u64>) -> RunOutcome {
-        if let Some(code) = self.vm.exit_code() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-        }
-        if self.crashed.is_some() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-        }
-        let mut spent = 0u64;
-        loop {
-            if let Some(f) = fuel {
-                if spent >= f {
-                    self.pending_slice = Some(mode);
-                    return RunOutcome::OutOfFuel;
-                }
-            }
-            let event = match self.vm.step() {
-                Ok(ev) => ev,
-                Err(e) => {
-                    self.crashed = Some(e.to_string());
-                    return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-                }
-            };
-            spent += 1;
-            self.events_seen += 1;
-            if let Some(limit) = self.max_steps {
-                let used = self.vm.ops_executed();
-                if used > limit {
-                    return RunOutcome::Exhausted {
-                        which: ResourceKind::Steps,
-                        used,
-                        limit,
-                    };
-                }
-            }
-            if let Some(limit) = self.max_heap_bytes {
-                let used = self.vm.allocator().live_bytes();
-                if used > limit {
-                    return RunOutcome::Exhausted {
-                        which: ResourceKind::HeapBytes,
-                        used,
-                        limit,
-                    };
-                }
-            }
-            match event {
-                Event::Line(n) => {
-                    if !self.watches.is_empty() {
-                        if let Some(reason) = self.check_watches() {
-                            return RunOutcome::Paused(reason);
-                        }
-                    }
-                    if let Some(bp) = self
-                        .bps
-                        .iter()
-                        .find(|bp| matches!(bp.kind, BpKind::Line(l) if l == n))
-                    {
-                        return RunOutcome::Paused(PauseReason::Breakpoint {
-                            id: bp.id,
-                            location: self.location(n),
-                        });
-                    }
-                    if self.finish_fired {
-                        return RunOutcome::Paused(PauseReason::Step);
-                    }
-                    let depth = self.vm.frames().len();
-                    match mode {
-                        Mode::Start => return RunOutcome::Paused(PauseReason::Started),
-                        Mode::Step { line, depth: d } => {
-                            if n != line || depth != d {
-                                return RunOutcome::Paused(PauseReason::Step);
-                            }
-                        }
-                        Mode::Next { line, depth: d } => {
-                            if depth < d || (depth == d && n != line) {
-                                return RunOutcome::Paused(PauseReason::Step);
-                            }
-                        }
-                        Mode::Resume | Mode::Finish { .. } => {}
-                    }
-                }
-                Event::Call { function, depth } => {
-                    let name = &self.vm.program().functions[function].name;
-                    if let Some(bp) = self.bps.iter().find(|bp| match &bp.kind {
-                        BpKind::FuncEntry {
-                            function: f,
-                            maxdepth,
-                        } => f == name && maxdepth.is_none_or(|m| depth <= m),
-                        BpKind::Line(_) => false,
-                    }) {
-                        let line = self.vm.program().functions[function].line;
-                        return RunOutcome::Paused(PauseReason::Breakpoint {
-                            id: bp.id,
-                            location: self.location(line),
-                        });
-                    }
-                    if self
-                        .tracked
-                        .iter()
-                        .any(|t| t.function == *name && t.maxdepth.is_none_or(|m| depth <= m))
-                    {
-                        return RunOutcome::Paused(PauseReason::FunctionCall {
-                            function: name.clone(),
-                            depth,
-                        });
-                    }
-                }
-                Event::Return {
-                    function,
-                    depth,
-                    value,
-                } => {
-                    let name = self.vm.program().functions[function].name.clone();
-                    if self
-                        .tracked
-                        .iter()
-                        .any(|t| t.function == name && t.maxdepth.is_none_or(|m| depth <= m))
-                    {
-                        return RunOutcome::Paused(PauseReason::FunctionReturn {
-                            function: name,
-                            depth,
-                            return_value: value.map(|v| v.to_string()),
-                        });
-                    }
-                    if let Mode::Finish { depth: d } = mode {
-                        if depth as usize == d {
-                            self.finish_fired = true;
-                        }
-                    }
-                }
-                Event::Store { .. } => {
-                    if let Some(reason) = self.check_watches() {
-                        return RunOutcome::Paused(reason);
-                    }
-                }
-                Event::Output(_) => {}
-                Event::SanitizerTrap(diagnostic) => {
-                    if let Some(reg) = &self.registry {
-                        reg.add("sanitizer.traps", 1);
-                    }
-                    return RunOutcome::Paused(PauseReason::Sanitizer { diagnostic });
-                }
-                Event::Exited(code) => {
-                    return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-                }
-            }
-        }
-    }
-
-    /// Starts a *fresh* control command, optionally fuel-bounded.
-    /// Clears per-command progress (`finish_fired`, any stale pending
-    /// slice) before running — the one thing a slice resume must not do.
-    fn control_sliced(&mut self, mode: Mode, fuel: Option<u64>) -> SliceOutcome {
-        if !self.started && !matches!(mode, Mode::Start) {
-            return SliceOutcome::Done(Response::Error {
-                message: "inferior not started (call start first)".into(),
-            });
-        }
-        self.finish_fired = false;
-        self.burst(mode, fuel)
-    }
-
-    fn control(&mut self, mode: Mode) -> Response {
-        match self.control_sliced(mode, None) {
-            SliceOutcome::Done(resp) => resp,
-            SliceOutcome::Yielded => unreachable!("unfueled run cannot yield"),
-        }
-    }
-
-    /// One fuel-bounded run burst: shared by fresh commands and slice
-    /// resumes. The per-burst span is telemetry only, so slicing stays
-    /// invisible on the protocol.
-    fn burst(&mut self, mode: Mode, fuel: Option<u64>) -> SliceOutcome {
-        if let Some((which, used, limit)) = self.exhausted {
-            // Budget exhaustion is terminal: every later control command
-            // repeats the verdict instead of running the inferior.
-            return SliceOutcome::Done(Response::ResourceExhausted { which, used, limit });
-        }
-        self.pending_slice = None;
-        // Times the VM burst this control command caused; joins the
-        // tracker's trace when the command frame carried a context.
-        let span = self.registry.as_ref().map(|reg| {
-            let mut span = reg.span("vm.minic.exec");
-            span.category("vm");
-            span
-        });
-        let outcome = self.run(mode, fuel);
-        if let Some(mut span) = span {
-            let tag = match &outcome {
-                RunOutcome::Paused(reason) => reason.to_string(),
-                RunOutcome::OutOfFuel => "slice".to_owned(),
-                RunOutcome::Exhausted { which, .. } => format!("exhausted:{which}"),
-            };
-            span.tag("pause_reason", tag);
-            span.finish();
-        }
-        self.publish_stats();
-        match outcome {
-            RunOutcome::Paused(reason) => {
-                self.last_reason = reason.clone();
-                SliceOutcome::Done(Response::Paused(reason))
-            }
-            RunOutcome::OutOfFuel => SliceOutcome::Yielded,
-            RunOutcome::Exhausted { which, used, limit } => {
-                self.exhausted = Some((which, used, limit));
-                SliceOutcome::Done(Response::ResourceExhausted { which, used, limit })
-            }
-        }
-    }
-
-    /// Maps a control command to its run mode, performing the same
-    /// pre-flight checks for the plain and sliced paths. `None` for
-    /// non-control commands.
-    fn prepare(&mut self, command: &Command) -> Option<Result<Mode, Response>> {
-        match command {
-            Command::Start => Some(if self.started {
-                Err(Response::Error {
-                    message: "inferior already started".into(),
-                })
-            } else {
-                self.started = true;
-                Ok(Mode::Start)
-            }),
-            Command::Resume => Some(Ok(Mode::Resume)),
-            Command::Step => {
-                let (line, depth) = self.current_position();
-                Some(Ok(Mode::Step { line, depth }))
-            }
-            Command::Next => {
-                let (line, depth) = self.current_position();
-                Some(Ok(Mode::Next { line, depth }))
-            }
-            Command::Finish => {
-                let (_, depth) = self.current_position();
-                Some(if depth <= 1 {
-                    Err(Response::Error {
-                        message: "cannot finish the outermost frame".into(),
-                    })
-                } else {
-                    // Depth as reported in Return events is 0-based.
-                    Ok(Mode::Finish { depth: depth - 1 })
-                })
-            }
-            _ => None,
-        }
-    }
-
-    fn current_position(&self) -> (u32, usize) {
-        let line = self.vm.frames().last().map(|f| f.line).unwrap_or(0);
-        (line, self.vm.frames().len())
-    }
 }
 
-impl Engine for MinicEngine {
-    fn handle(&mut self, command: Command) -> Response {
-        match self.prepare(&command) {
-            Some(Err(resp)) => return resp,
-            Some(Ok(mode)) => return self.control(mode),
-            None => {}
+impl Inferior for Minic {
+    type Func = usize;
+    type Value = RtVal;
+    type Target = String;
+    const SPAN: &'static str = "vm.minic.exec";
+    const START_RUNS: bool = true;
+
+    // Inlined into the core's run loop: this is the per-event path.
+    #[inline]
+    fn advance(&mut self, fuel: &mut u64) -> Next<usize, RtVal> {
+        if *fuel == 0 {
+            return Next::OutOfFuel;
         }
+        *fuel -= 1;
+        let event = match self.vm.step() {
+            Ok(event) => event,
+            Err(e) => return Next::Crash(e.to_string()),
+        };
+        self.events_seen += 1;
+        let depth = self.vm.frames().len();
+        Next::Event(match event {
+            VmEvent::Line(line) => Event::Line { line, depth },
+            VmEvent::Call { function, depth } => Event::Call { function, depth },
+            VmEvent::Return {
+                function,
+                depth,
+                value,
+            } => Event::Return {
+                function,
+                depth,
+                value,
+            },
+            VmEvent::Store { .. } => Event::Store,
+            VmEvent::Output(_) => return Next::Quiet,
+            VmEvent::SanitizerTrap(diagnostic) => {
+                if let Some(reg) = &self.registry {
+                    reg.add("sanitizer.traps", 1);
+                }
+                return Next::Stop(Box::new(PauseReason::Sanitizer { diagnostic }));
+            }
+            VmEvent::Exited(code) => {
+                return Next::Stop(Box::new(PauseReason::Exited(ExitStatus::Exited(code))))
+            }
+        })
+    }
+
+    fn position(&self) -> (u32, usize) {
+        let line = self.vm.frames().last().map_or(0, |f| f.line);
+        (line, self.vm.frames().len())
+    }
+
+    fn usage(&self) -> (u64, Option<u64>) {
+        let heap = self.vm.allocator().live_bytes();
+        (self.vm.ops_executed(), Some(heap))
+    }
+
+    fn exit_code(&self) -> Option<i64> {
+        self.vm.exit_code()
+    }
+
+    fn output(&self) -> &str {
+        self.vm.output()
+    }
+
+    fn registry(&self) -> Option<&obs::Registry> {
+        self.registry.as_ref()
+    }
+
+    fn publish_stats(&self) {
+        let Some(reg) = &self.registry else {
+            return;
+        };
+        // Absolute readings of cumulative VM totals: gauges, not
+        // counters, so a merged cross-process snapshot never adds two
+        // reports of the same total.
+        reg.set_gauge("vm.minic.ops", self.vm.ops_executed());
+        reg.set_gauge("vm.minic.events", self.events_seen);
+        let alloc = self.vm.allocator();
+        reg.set_gauge("vm.minic.heap.allocs", alloc.total_allocs());
+        reg.set_gauge("vm.minic.heap.frees", alloc.total_frees());
+        reg.set_gauge("vm.minic.heap.live_bytes", alloc.live_bytes());
+    }
+
+    fn source(&self) -> (&str, &str) {
+        (&self.vm.program().file, &self.vm.program().source)
+    }
+
+    fn breakable_lines(&self) -> Vec<u32> {
+        self.vm.program().breakable_lines().into_iter().collect()
+    }
+
+    fn resolve_function(&self, name: &str) -> Result<usize, String> {
+        let found = self.vm.program().function(name).map(|(idx, _)| idx);
+        found.ok_or_else(|| format!("unknown function `{name}`"))
+    }
+
+    fn function_name(&self, function: usize) -> String {
+        self.vm.program().functions[function].name.clone()
+    }
+
+    fn entry_line(&self, function: usize) -> u32 {
+        self.vm.program().functions[function].line
+    }
+
+    fn resolve_watch(&self, spec: &str) -> Result<String, String> {
+        Ok(spec.to_owned())
+    }
+
+    fn eval_watch(&self, name: &String) -> Option<String> {
+        self.lookup_variable(name)
+            .map(|v| state::render_value(v.value()))
+    }
+
+    fn set_watching(&mut self, on: bool) {
+        // Watchpoints need store events: the expensive mode the paper
+        // warns about.
+        self.vm.set_store_events(on);
+    }
+
+    fn serve(&mut self, command: Command, started: bool, last_reason: &PauseReason) -> Response {
         match command {
-            Command::Start | Command::Resume | Command::Step | Command::Next | Command::Finish => {
-                unreachable!("control commands are routed through prepare")
-            }
-            Command::SetBreakLine { line } => {
-                // Like GDB: slide to the next line that really holds code.
-                let lines = self.vm.program().breakable_lines();
-                let Some(&actual) = lines.range(line..).next() else {
-                    return Response::Error {
-                        message: format!("no code at or after line {line}"),
-                    };
-                };
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::Line(actual),
-                });
-                Response::Created { id }
-            }
-            Command::SetBreakFunc { function, maxdepth } => {
-                if self.vm.program().function(&function).is_none() {
-                    return Response::Error {
-                        message: format!("unknown function `{function}`"),
-                    };
-                }
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::FuncEntry { function, maxdepth },
-                });
-                Response::Created { id }
-            }
-            Command::TrackFunction { function, maxdepth } => {
-                if self.vm.program().function(&function).is_none() {
-                    return Response::Error {
-                        message: format!("unknown function `{function}`"),
-                    };
-                }
-                self.tracked.push(Track { function, maxdepth });
-                let id = self.alloc_id();
-                Response::Created { id }
-            }
-            Command::Watch { variable } => {
-                let last = self.eval_watch(&variable);
-                let id = self.alloc_id();
-                self.watches.push(Watch {
-                    id,
-                    name: variable,
-                    last,
-                });
-                // Watchpoints require store events: this is the expensive
-                // mode the paper warns about.
-                self.vm.set_store_events(true);
-                Response::Created { id }
-            }
-            Command::Delete { id } => {
-                let before = self.bps.len() + self.watches.len();
-                self.bps.retain(|b| b.id != id);
-                self.watches.retain(|w| w.id != id);
-                if self.watches.is_empty() {
-                    self.vm.set_store_events(false);
-                }
-                if self.bps.len() + self.watches.len() == before {
-                    Response::Error {
-                        message: format!("no breakpoint or watchpoint {id}"),
-                    }
-                } else {
-                    Response::Ok
-                }
-            }
             Command::GetState => {
-                if !self.started || self.vm.frames().is_empty() {
+                if !started || self.vm.frames().is_empty() {
                     return Response::Error {
                         message: "no frames to inspect".into(),
                     };
@@ -639,7 +276,7 @@ impl Engine for MinicEngine {
                 Response::State(Box::new(ProgramState::new(
                     frame,
                     globals,
-                    self.last_reason.clone(),
+                    last_reason.clone(),
                 )))
             }
             Command::GetGlobals => Response::Globals(inspect::global_variables(&self.vm)),
@@ -649,7 +286,7 @@ impl Engine for MinicEngine {
                 // line (the paper's Fig. 7 registers come from the
                 // assembly engine; these are still useful for tools).
                 let sp = self.vm.stack_pointer();
-                let (line, depth) = self.current_position();
+                let (line, depth) = self.position();
                 Response::Registers(vec![
                     Variable::new(
                         "sp",
@@ -679,31 +316,6 @@ impl Engine for MinicEngine {
                     },
                 }
             }
-            Command::GetOutput => {
-                let all = self.vm.output();
-                let new = all[self.output_cursor.min(all.len())..].to_owned();
-                self.output_cursor = all.len();
-                let with_crash = match &self.crashed {
-                    Some(msg) if !self.crash_reported => {
-                        self.crash_reported = true;
-                        format!("{new}{msg}\n")
-                    }
-                    _ => new,
-                };
-                Response::Output(with_crash)
-            }
-            Command::GetExitCode => Response::ExitCode(if self.crashed.is_some() {
-                Some(-1)
-            } else {
-                self.vm.exit_code()
-            }),
-            Command::GetSource => Response::Source {
-                file: self.vm.program().file.clone(),
-                text: self.vm.program().source.clone(),
-            },
-            Command::GetBreakableLines => {
-                Response::Lines(self.vm.program().breakable_lines().into_iter().collect())
-            }
             Command::Analyze => {
                 // Diagnose the program the user wrote, not the one the
                 // optimizer produced: dead-code deletion must not change
@@ -729,7 +341,7 @@ impl Engine for MinicEngine {
                 Response::Verified { findings }
             }
             Command::SetSanitizer { on } => {
-                if self.started {
+                if started {
                     return Response::Error {
                         message: "sanitizer mode must be set before start".into(),
                     };
@@ -738,7 +350,7 @@ impl Engine for MinicEngine {
                 Response::Ok
             }
             Command::SetProfile { mode, period } => {
-                if self.started && mode != obs::ProfileMode::Off {
+                if started && mode != obs::ProfileMode::Off {
                     return Response::Error {
                         message: "profiling must be armed before start".into(),
                     };
@@ -747,70 +359,22 @@ impl Engine for MinicEngine {
                 Response::Ok
             }
             Command::ProfileReport { .. } => Response::Profile(Box::new(self.vm.profile_report())),
-            // The serve loop normally answers Ping and Telemetry itself;
-            // answering here too keeps `handle` total for engines driven
-            // directly.
-            Command::Ping => Response::Pong {
-                now_us: self.registry.as_ref().map_or(0, obs::Registry::now_us),
-            },
-            Command::Telemetry { since } => {
-                // No export ring at this layer: metrics only.
-                let frame = match &self.registry {
-                    Some(reg) => obs::telemetry::collect_frame(reg, None, since),
-                    None => obs::TelemetryFrame::default(),
-                };
-                Response::Telemetry(Box::new(frame))
-            }
-            Command::Terminate => Response::Ok,
-            Command::SetLimits {
-                max_steps,
-                max_heap_bytes,
-                ..
-            } => {
-                // Steps and heap are enforced in-engine; wall time and
-                // queue depth are the host's job (it applies them as the
-                // command passes through). Converges: re-setting the same
-                // budgets is a no-op, `None` clears.
-                self.max_steps = max_steps;
-                self.max_heap_bytes = max_heap_bytes;
-                Response::Ok
-            }
-            // Session management is the host's job, not an engine's.
-            Command::OpenSession { .. }
-            | Command::CloseSession { .. }
-            | Command::OpenReplay { .. } => Response::Error {
-                message: "session commands are handled by the host, not an engine".into(),
-            },
-            // The trace vocabulary is served by the RecordingEngine
-            // wrapper every spawned session carries, never by a bare
-            // engine.
-            Command::Record { .. }
-            | Command::Seek { .. }
-            | Command::QueryHistory { .. }
-            | Command::TraceStats
-            | Command::PublishTrace { .. } => Response::Error {
-                message: "trace commands are handled by the recording wrapper".into(),
-            },
+            other => unreachable!("{} is served by the control core", other.kind()),
         }
+    }
+}
+
+impl Engine for MinicEngine {
+    fn handle(&mut self, command: Command) -> Response {
+        self.0.handle(command)
     }
 
     fn handle_sliced(&mut self, command: Command, fuel: u64) -> SliceOutcome {
-        match self.prepare(&command) {
-            Some(Err(resp)) => SliceOutcome::Done(resp),
-            Some(Ok(mode)) => self.control_sliced(mode, Some(fuel)),
-            None => SliceOutcome::Done(self.handle(command)),
-        }
+        self.0.handle_sliced(command, Some(fuel))
     }
 
     fn resume_sliced(&mut self, fuel: u64) -> SliceOutcome {
-        match self.pending_slice {
-            // Resume, not restart: `finish_fired` and the stashed mode
-            // are the command's progress and survive the yield.
-            Some(mode) => self.burst(mode, Some(fuel)),
-            None => SliceOutcome::Done(Response::Error {
-                message: "no sliced command pending".into(),
-            }),
-        }
+        self.0.resume_sliced(fuel)
     }
 }
 

@@ -391,7 +391,7 @@ impl ReplayEngine {
     }
 
     fn exit_reason(&self) -> PauseReason {
-        PauseReason::Exited(ExitStatus::Exited(self.store().exit_code().unwrap_or(0)))
+        PauseReason::Exited(ExitStatus::from_code(self.store().exit_code().unwrap_or(0)))
     }
 
     /// Lands on pause `n` (or exits past the end) and answers like a
@@ -620,6 +620,50 @@ mod tests {
             eng.handle(Command::SetBreakLine { line: 3 }),
             Response::Error { .. }
         ));
+    }
+
+    #[test]
+    fn hosted_replay_of_a_crash_reports_crashed() {
+        let program =
+            minic::compile("t.c", "int main() {\nint* p = NULL;\nreturn *p;\n}").expect("compiles");
+        let mut rec = RecordingEngine::new(crate::minic_engine::MinicEngine::new(&program));
+        assert_eq!(
+            rec.handle(Command::Record { keyframe_every: 4 }),
+            Response::Ok
+        );
+        rec.handle(Command::Start);
+        let crashed = Response::Paused(PauseReason::Exited(ExitStatus::Crashed));
+        assert_eq!(rec.handle(Command::Resume), crashed);
+        let store = rec.store().expect("armed").clone();
+        let mut eng = ReplayEngine::new(Arc::new(store), obs::Registry::new());
+        eng.handle(Command::Start);
+        assert_eq!(eng.handle(Command::Resume), crashed);
+        assert_eq!(
+            eng.handle(Command::GetExitCode),
+            Response::ExitCode(Some(-1))
+        );
+    }
+
+    /// A known limit: the store keeps only the exit code, and `-1` is also
+    /// the code `GetExitCode` answers after a crash, so a real `-1` exit
+    /// replays as a crash.
+    #[test]
+    fn exit_code_minus_one_replays_as_a_crash() {
+        let program = minic::compile("t.c", "int main() {\nreturn -1;\n}").expect("compiles");
+        let mut rec = RecordingEngine::new(crate::minic_engine::MinicEngine::new(&program));
+        rec.handle(Command::Record { keyframe_every: 4 });
+        rec.handle(Command::Start);
+        assert_eq!(
+            rec.handle(Command::Resume),
+            Response::Paused(PauseReason::Exited(ExitStatus::Exited(-1)))
+        );
+        let store = rec.store().expect("armed").clone();
+        let mut eng = ReplayEngine::new(Arc::new(store), obs::Registry::new());
+        eng.handle(Command::Start);
+        assert_eq!(
+            eng.handle(Command::Resume),
+            Response::Paused(PauseReason::Exited(ExitStatus::Crashed))
+        );
     }
 
     #[test]

@@ -47,6 +47,16 @@ pub enum ExitStatus {
 }
 
 impl ExitStatus {
+    /// Decodes an engine's exit code, where `-1` reports a crash (the
+    /// code `GetExitCode` answers after a runtime error).
+    pub fn from_code(code: i64) -> Self {
+        if code == -1 {
+            ExitStatus::Crashed
+        } else {
+            ExitStatus::Exited(code)
+        }
+    }
+
     /// The exit code for a normal exit, `None` for a crash.
     pub fn code(&self) -> Option<i64> {
         match self {

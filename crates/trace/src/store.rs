@@ -502,17 +502,22 @@ impl Store {
         let col = get_section(body, &mut pos)?;
         store.snap_off = decode_deltas(col, pauses)?;
         store.snap = get_section(body, &mut pos)?.to_vec();
+        check_offsets(&store.snap_off, store.snap.len(), "snapshot")?;
         let col = get_section(body, &mut pos)?;
         store.lines = decode_u32s(col, pauses)?;
         let col = get_section(body, &mut pos)?;
         store.depths = decode_u32s(col, pauses)?;
-        let col = get_section(body, &mut pos)?;
-        store.out_off = decode_deltas(col, pauses)?
-            .into_iter()
-            .map(|v| v as u32)
-            .collect();
+        let out_off = decode_deltas(get_section(body, &mut pos)?, pauses)?;
         store.output = String::from_utf8(get_section(body, &mut pos)?.to_vec())
             .map_err(|e| format!("trace output: {e}"))?;
+        check_offsets(&out_off, store.output.len(), "output")?;
+        store.out_off = out_off
+            .into_iter()
+            .map(|o| match u32::try_from(o) {
+                Ok(o) if store.output.is_char_boundary(o as usize) => Ok(o),
+                _ => Err(format!("trace output offset {o} splits a character")),
+            })
+            .collect::<Result<_, _>>()?;
 
         let windex = codec::decompress(&[], get_section(body, &mut pos)?)?;
         let mut wpos = 0usize;
@@ -524,7 +529,9 @@ impl Store {
             let id = store.writes.intern(&name) as usize;
             let mut prev = 0u64;
             for _ in 0..count {
-                prev += codec::get_varint(&windex, &mut wpos)?;
+                prev = prev
+                    .checked_add(codec::get_varint(&windex, &mut wpos)?)
+                    .ok_or("trace windex: pause overflows")?;
                 let val = String::from_utf8(get_section(&windex, &mut wpos)?.to_vec())
                     .map_err(|e| format!("trace windex: {e}"))?;
                 store.writes.by_name[id].push((prev, val));
@@ -585,18 +592,46 @@ fn get_section<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], String> {
     Ok(s)
 }
 
+/// Every varint takes at least one byte, so a column holds at most as
+/// many values as it has bytes: a larger count is corrupt, and is
+/// rejected before anything is allocated for it.
+fn check_count(col: &[u8], count: usize) -> Result<(), String> {
+    if count > col.len() {
+        return Err(format!(
+            "trace column of {} bytes cannot hold {count} pauses",
+            col.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Running sums of unsigned deltas never decrease, so the offsets stay
+/// inside their section when the last one does.
+fn check_offsets(offsets: &[u64], section_len: usize, what: &str) -> Result<(), String> {
+    match offsets.last() {
+        Some(&last) if last > section_len as u64 => Err(format!(
+            "trace {what} offset {last} past its {section_len}-byte section"
+        )),
+        _ => Ok(()),
+    }
+}
+
 fn decode_deltas(col: &[u8], count: usize) -> Result<Vec<u64>, String> {
+    check_count(col, count)?;
     let mut pos = 0usize;
     let mut out = Vec::with_capacity(count);
     let mut acc = 0u64;
     for _ in 0..count {
-        acc += codec::get_varint(col, &mut pos)?;
+        acc = acc
+            .checked_add(codec::get_varint(col, &mut pos)?)
+            .ok_or("trace column offset overflows")?;
         out.push(acc);
     }
     Ok(out)
 }
 
 fn decode_u32s(col: &[u8], count: usize) -> Result<Vec<u32>, String> {
+    check_count(col, count)?;
     let mut pos = 0usize;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {

@@ -205,3 +205,28 @@ down(5)
         t.terminate();
     }
 }
+
+/// Removing a tracked function disarms it on every tracker: the pending
+/// return and every later call run straight through to the exit.
+#[test]
+fn removing_a_tracked_function_disarms_it_everywhere() {
+    let mut trackers: Vec<(&str, Box<dyn Tracker>)> = Vec::new();
+    for (file, src) in [("p.c", C_PROG), ("p.s", ASM_PROG), ("p.py", PY_PROG)] {
+        trackers.push((file, init_tracker(file, src).unwrap()));
+    }
+    let mut live = init_tracker("p.c", C_PROG).unwrap();
+    let rec = Recording::capture(live.as_mut()).unwrap();
+    live.terminate();
+    trackers.push(("replay", Box::new(ReplayTracker::new(rec))));
+    for (name, mut t) in trackers {
+        let id = t.track_function("square", None).unwrap();
+        t.start().unwrap();
+        let r = t.resume().unwrap();
+        assert!(matches!(r, PauseReason::FunctionCall { .. }), "{name}: {r}");
+        t.remove(id)
+            .unwrap_or_else(|e| panic!("{name}: remove failed: {e}"));
+        let r = t.resume().unwrap();
+        assert!(matches!(r, PauseReason::Exited(_)), "{name}: {r}");
+        t.terminate();
+    }
+}
